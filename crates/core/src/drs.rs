@@ -163,10 +163,25 @@ pub struct DrsUnit {
     warp_of_row: Vec<Option<usize>>,
     /// Ray-state table aggregated per row.
     counts: Vec<RowSummary>,
-    /// Slots currently involved in a transfer (no execution, no re-plan).
-    slot_busy: Vec<bool>,
+    /// Per-row lane mask of the slots involved in a transfer (no
+    /// execution, no re-plan): bit `l` of `busy[row]` is lane `l`.
+    busy: Vec<u32>,
     /// Active transfers (at most one per shuffle task).
     transfers: Vec<Transfer>,
+    /// Something `plan_transfers` reads may have changed since its last
+    /// run: an `issue` call (park, unpark, rename), a non-empty dirty
+    /// drain, a finished transfer, or a plan that pushed a transfer (a
+    /// plan is not idempotent: another call may take a further slot from
+    /// the same row). Otherwise a plan would repeat the last one, which
+    /// planned nothing, so the tick skips it.
+    replan: bool,
+    /// Reusable per-tick scratch: bank ports left idle, and the indices of
+    /// transfers that finished this tick.
+    idle_scratch: Vec<bool>,
+    done_scratch: Vec<usize>,
+    /// `DRS_DEBUG` was set when the unit was built: dump the row table
+    /// every 500 000 cycles.
+    debug: bool,
     /// Warps currently stalled at `rdctrl` (their rows are register-
     /// quiescent, so the swap engine may shuffle them).
     parked: Vec<bool>,
@@ -196,8 +211,12 @@ impl DrsUnit {
             row_of_warp: (0..cfg.warps).collect(),
             warp_of_row: (0..rows).map(|r| (r < cfg.warps).then_some(r)).collect(),
             counts: vec![RowSummary::default(); rows],
-            slot_busy: vec![false; rows * cfg.lanes],
+            busy: vec![0; rows],
             transfers: Vec::with_capacity(3),
+            replan: true,
+            idle_scratch: Vec::new(),
+            done_scratch: Vec::with_capacity(3),
+            debug: std::env::var_os("DRS_DEBUG").is_some(),
             parked: vec![false; cfg.warps],
             leaf_collector: None,
             ray_regs,
@@ -229,18 +248,23 @@ impl DrsUnit {
         row * self.cfg.lanes + lane
     }
 
+    /// Recount one row from the machine's state cache.
+    fn recount_row(&mut self, row: usize, m: &MachineState<'_>) {
+        let mut s = RowSummary::default();
+        for lane in 0..self.cfg.lanes {
+            match m.state_cache[self.slot_index(row, lane)] {
+                RayState::Inner => s.inner += 1,
+                RayState::Leaf => s.leaf += 1,
+                _ => s.no_ray += 1,
+            }
+        }
+        self.counts[row] = s;
+    }
+
     /// Rebuild all row counts from the machine's state cache.
     fn rebuild_counts(&mut self, m: &MachineState<'_>) {
         for row in 0..self.cfg.rows() {
-            let mut s = RowSummary::default();
-            for lane in 0..self.cfg.lanes {
-                match m.state_cache[self.slot_index(row, lane)] {
-                    RayState::Inner => s.inner += 1,
-                    RayState::Leaf => s.leaf += 1,
-                    _ => s.no_ray += 1,
-                }
-            }
-            self.counts[row] = s;
+            self.recount_row(row, m);
         }
     }
 
@@ -249,24 +273,17 @@ impl DrsUnit {
         if m.dirty.is_empty() {
             return;
         }
-        let dirty = std::mem::take(&mut m.dirty);
-        let mut touched: Vec<u32> = dirty;
-        touched.sort_unstable();
-        touched.dedup();
-        let mut rows: Vec<usize> = touched.iter().map(|&s| s as usize / self.cfg.lanes).collect();
-        rows.sort_unstable();
-        rows.dedup();
-        for row in rows {
-            let mut s = RowSummary::default();
-            for lane in 0..self.cfg.lanes {
-                match m.state_cache[self.slot_index(row, lane)] {
-                    RayState::Inner => s.inner += 1,
-                    RayState::Leaf => s.leaf += 1,
-                    _ => s.no_ray += 1,
-                }
+        self.replan = true;
+        m.dirty.sort_unstable();
+        let mut last = usize::MAX;
+        for i in 0..m.dirty.len() {
+            let row = m.dirty[i] as usize / self.cfg.lanes;
+            if row != last {
+                last = row;
+                self.recount_row(row, m);
             }
-            self.counts[row] = s;
         }
+        m.dirty.clear();
     }
 
     /// Control value for a row the warp will work on.
@@ -342,8 +359,18 @@ impl DrsUnit {
     }
 
     fn row_has_busy_slot(&self, row: usize) -> bool {
-        let base = row * self.cfg.lanes;
-        self.slot_busy[base..base + self.cfg.lanes].iter().any(|&b| b)
+        self.busy[row] != 0
+    }
+
+    /// Mark `slot` busy (`true`) or free in its row's mask.
+    fn set_busy(&mut self, slot: usize, busy: bool) {
+        let bit = 1u32 << (slot % self.cfg.lanes);
+        let mask = &mut self.busy[slot / self.cfg.lanes];
+        if busy {
+            *mask |= bit;
+        } else {
+            *mask &= !bit;
+        }
     }
 
     /// A row may be shuffled when it is unbound, or bound to a warp that is
@@ -448,21 +475,11 @@ impl DrsUnit {
         let (src, dst) = (t.src_slot as usize, t.dst_slot as usize);
         m.slots.swap(src, dst);
         m.state_cache.swap(src, dst);
-        self.slot_busy[src] = false;
-        self.slot_busy[dst] = false;
-        // Update both rows' counts.
-        for slot in [src, dst] {
-            let row = slot / self.cfg.lanes;
-            let mut s = RowSummary::default();
-            for lane in 0..self.cfg.lanes {
-                match m.state_cache[self.slot_index(row, lane)] {
-                    RayState::Inner => s.inner += 1,
-                    RayState::Leaf => s.leaf += 1,
-                    _ => s.no_ray += 1,
-                }
-            }
-            self.counts[row] = s;
-        }
+        self.set_busy(src, false);
+        self.set_busy(dst, false);
+        self.replan = true;
+        self.recount_row(src / self.cfg.lanes, m);
+        self.recount_row(dst / self.cfg.lanes, m);
         stats.swaps_completed += 1;
         stats.swap_cycle_sum += now.saturating_sub(t.start_cycle);
     }
@@ -646,14 +663,37 @@ impl DrsUnit {
         pred: impl Fn(usize) -> bool,
     ) -> Option<usize> {
         let _ = m;
-        (0..self.cfg.lanes)
-            .map(|l| self.slot_index(row, l))
-            .find(|&s| !self.slot_busy[s] && pred(s))
+        let mut free = !self.busy[row] & (u32::MAX >> (32 - self.cfg.lanes));
+        while free != 0 {
+            let s = self.slot_index(row, free.trailing_zeros() as usize);
+            if pred(s) {
+                return Some(s);
+            }
+            free &= free - 1;
+        }
+        None
+    }
+
+    /// The per-row busy masks the active transfers name (asserting that
+    /// no slot is in two transfers).
+    #[cfg(any(test, feature = "validate"))]
+    fn transfer_masks(&self) -> Vec<u32> {
+        let mut masks = vec![0u32; self.busy.len()];
+        for t in &self.transfers {
+            for slot in [t.src_slot as usize, t.dst_slot as usize] {
+                let bit = 1u32 << (slot % self.cfg.lanes);
+                let row = &mut masks[slot / self.cfg.lanes];
+                assert_eq!(*row & bit, 0, "slot {slot} is in two transfers");
+                *row |= bit;
+            }
+        }
+        masks
     }
 
     fn push_transfer(&mut self, src: usize, dst: usize, total_regs: u8, now: u64) {
-        self.slot_busy[src] = true;
-        self.slot_busy[dst] = true;
+        self.set_busy(src, true);
+        self.set_busy(dst, true);
+        self.replan = true;
         self.transfers.push(Transfer {
             src_slot: src as u32,
             dst_slot: dst as u32,
@@ -679,6 +719,8 @@ impl SpecialUnit for DrsUnit {
             self.rebuild_counts(m);
             self.initialized = true;
         }
+        // Whatever the outcome, the warp's park state or binding may move.
+        self.replan = true;
         self.drain_dirty(m);
         let row = self.row_of_warp[warp];
         let cur_busy = self.row_has_busy_slot(row);
@@ -762,7 +804,7 @@ impl SpecialUnit for DrsUnit {
             self.initialized = true;
         }
         self.drain_dirty(m);
-        if std::env::var("DRS_DEBUG").is_ok() && cycle.is_multiple_of(500_000) && cycle > 0 {
+        if self.debug && cycle.is_multiple_of(500_000) && cycle > 0 {
             eprintln!("cycle {cycle}: transfers={:?}", self.transfers);
             for r in 0..self.cfg.rows() {
                 eprintln!(
@@ -780,10 +822,12 @@ impl SpecialUnit for DrsUnit {
             );
         }
         // Progress active transfers through idle bank ports.
-        let mut idle: Vec<bool> = idle_banks.to_vec();
+        let idle = &mut self.idle_scratch;
+        idle.clear();
+        idle.extend_from_slice(idle_banks);
         let nbanks = idle.len().max(1);
         let bpt = self.cfg.buffers_per_task() as u8;
-        let mut done: Vec<usize> = Vec::new();
+        let mut done = std::mem::take(&mut self.done_scratch);
         for (ti, t) in self.transfers.iter_mut().enumerate() {
             let regs = t.total_regs;
             // Writes first: registers read in earlier cycles drain to the
@@ -816,16 +860,26 @@ impl SpecialUnit for DrsUnit {
             let t = self.transfers.remove(ti);
             self.finalize_transfer(t, cycle + 1, m, stats);
         }
-        self.plan_transfers(cycle, m);
+        done.clear();
+        self.done_scratch = done;
+        if self.replan {
+            self.replan = false;
+            self.plan_transfers(cycle, m);
+        }
+        #[cfg(feature = "validate")]
+        assert_eq!(
+            self.busy,
+            self.transfer_masks(),
+            "validate: DRS busy masks disagree with the transfer list"
+        );
     }
 
     fn next_event(&self, now: u64) -> Option<u64> {
         // Ideal DRS never ticks; real DRS is quiescent once no transfers
-        // are in flight: with no issues in between, the dirty queue stays
-        // drained, `plan_transfers` re-evaluates the identical machine
-        // state and plans nothing, and the leaf-collector refresh is at a
-        // fixed point — so every tick until the next issue is a pure
-        // no-op. Before the first tick the unit still has to initialize,
+        // are in flight: the tick that follows an issue consumes the
+        // re-plan it asks for, and with no issues in between the dirty
+        // queue stays drained and no further plan runs — so every tick
+        // until the next issue is a pure no-op. Before the first tick the unit still has to initialize,
         // so it pins the engine to the current cycle.
         if self.cfg.ideal {
             return None;
@@ -1063,6 +1117,81 @@ mod policy_tests {
         (unit, m)
     }
 
+    /// A ray with a single inner (or leaf) step.
+    fn one_step_ray(i: usize, leaf: bool) -> RayScript {
+        let step = if leaf {
+            Step::Leaf { node_addr: 0x2000 + i as u64 * 64, prim_base_addr: 0x4000, prim_count: 2 }
+        } else {
+            Step::Inner { node_addr: 0x1000 + i as u64 * 64, both_children_hit: false }
+        };
+        RayScript::new(vec![step], Termination::Escaped)
+    }
+
+    /// One warp on a half-inner, half-leaf row with the queue drained,
+    /// after a first tick has counted the rows. The warp's row is bound
+    /// and unparked, so nothing is shufflable and the unit is quiet.
+    fn quiet_mixed_row(s: &[RayScript]) -> (DrsUnit, MachineState<'_>, drs_sim::SimStats) {
+        let (mut unit, mut m) = unit_and_machine(s, 1, 1);
+        let mut stats = drs_sim::SimStats::default();
+        for slot in 0..s.len() {
+            m.fetch_into(slot);
+        }
+        assert!(m.queue.is_empty());
+        unit.tick(0, &[true; 32], &mut m, &mut stats);
+        unit.tick(1, &[true; 32], &mut m, &mut stats);
+        assert!(unit.transfers.is_empty());
+        assert!(!unit.replan, "an unchanged unit does not plan again");
+        assert_eq!(unit.next_event(2), None);
+        (unit, m, stats)
+    }
+
+    #[test]
+    fn park_in_issue_replans_on_next_tick() {
+        let s: Vec<RayScript> = (0..LANES).map(|i| one_step_ray(i, i % 2 == 1)).collect();
+        let (mut unit, mut m, mut stats) = quiet_mixed_row(&s);
+        assert_eq!(unit.issue(0, 0, &mut m, &mut stats), SpecialOutcome::Stall);
+        unit.tick(2, &[true; 32], &mut m, &mut stats);
+        assert!(!unit.transfers.is_empty(), "the parked warp's row must be shuffled");
+    }
+
+    #[test]
+    fn rename_in_issue_replans_on_next_tick() {
+        // Row 0 (warp 0) mixed, row 1 (unbound) full of inner rays: the
+        // warp renames onto row 1, which leaves row 0 unbound and
+        // shufflable.
+        let s: Vec<RayScript> =
+            (0..2 * LANES).map(|i| one_step_ray(i, i < LANES && i % 2 == 1)).collect();
+        let (mut unit, mut m, mut stats) = quiet_mixed_row(&s);
+        let outcome = unit.issue(0, 0, &mut m, &mut stats);
+        assert_eq!(outcome, SpecialOutcome::Proceed { ctrl: drs_kernels::CTRL_TRAV_INNER });
+        assert_eq!(unit.row_of(0), 1);
+        unit.tick(2, &[true; 32], &mut m, &mut stats);
+        assert!(!unit.transfers.is_empty(), "the vacated mixed row must be shuffled");
+    }
+
+    #[test]
+    fn finished_transfers_clear_both_rows_busy_bits() {
+        let s: Vec<RayScript> = (0..LANES).map(|i| one_step_ray(i, i % 2 == 1)).collect();
+        let (mut unit, mut m, mut stats) = quiet_mixed_row(&s);
+        assert_eq!(unit.issue(0, 0, &mut m, &mut stats), SpecialOutcome::Stall);
+        let mut cross_row = false;
+        for cycle in 2..2000 {
+            unit.tick(cycle, &[true; 32], &mut m, &mut stats);
+            assert_eq!(unit.busy, unit.transfer_masks(), "cycle {cycle}");
+            cross_row |= unit
+                .transfers
+                .iter()
+                .any(|t| t.src_slot as usize / LANES != t.dst_slot as usize / LANES);
+            if unit.transfers.is_empty() {
+                break;
+            }
+        }
+        assert!(cross_row, "the transfers moved rays between rows");
+        assert!(stats.swaps_completed > 0);
+        assert!(unit.transfers.is_empty(), "shuffling settles");
+        assert!(unit.busy.iter().all(|&b| b == 0), "no busy bit outlives its transfer");
+    }
+
     #[test]
     fn empty_row_with_queue_returns_fetch() {
         let s = scripts(32, 3);
@@ -1100,20 +1229,7 @@ mod policy_tests {
         // One warp whose row is half inner, half leaf; queue drained so no
         // fetch escape. The warp must stall, and after enough swap-engine
         // ticks it must be able to proceed (minority ejected to spare rows).
-        let s: Vec<RayScript> = (0..LANES)
-            .map(|i| {
-                let step = if i % 2 == 0 {
-                    Step::Inner { node_addr: 0x1000 + i as u64 * 64, both_children_hit: false }
-                } else {
-                    Step::Leaf {
-                        node_addr: 0x2000 + i as u64 * 64,
-                        prim_base_addr: 0x4000,
-                        prim_count: 2,
-                    }
-                };
-                RayScript::new(vec![step], Termination::Escaped)
-            })
-            .collect();
+        let s: Vec<RayScript> = (0..LANES).map(|i| one_step_ray(i, i % 2 == 1)).collect();
         let (mut unit, mut m) = unit_and_machine(&s, 1, 1);
         let mut stats = drs_sim::SimStats::default();
         for lane in 0..LANES {

@@ -223,6 +223,18 @@ pub struct Simulation<'w> {
     mem: MemoryHierarchy,
     banks: RegisterBanks,
     warps: Vec<WarpTiming>,
+    /// Per-warp wake time: the earliest cycle the warp could issue, i.e.
+    /// `max(blocked_until, reg_ready of its next op's sources and dst)`,
+    /// or `u64::MAX` once it has exited. Only the warp's own issue
+    /// attempts and [`Simulation::chip_complete`] change what it depends
+    /// on, and both refresh it; schedulers skip warps still asleep.
+    wake: Vec<u64>,
+    /// Warps that have not exited yet.
+    live_warps: usize,
+    /// Instructions one scheduler may issue per cycle (dual issue).
+    issue_limit: usize,
+    /// Warps owned by each scheduler.
+    sched_warps: Vec<usize>,
     stats: SimStats,
     /// Per-block (issues, active_sum) counters.
     block_counters: Vec<(u64, u64)>,
@@ -238,16 +250,6 @@ pub struct Simulation<'w> {
     /// engine jumps straight to the next wake-up cycle instead of stepping
     /// through the dead span. Results are bit-identical either way.
     fastpath: bool,
-    /// Failed-skip backoff: number of upcoming dead cycles for which we
-    /// won't attempt a skip. A failed `try_fast_forward` is pure overhead
-    /// (an O(warps) scoreboard scan), so after each failure we sit out
-    /// `skip_penalty` dead cycles before trying again.
-    skip_cooldown: u64,
-    /// Current backoff penalty; doubles on each consecutive failure (to a
-    /// small cap) and resets whenever a skip succeeds or anything issues.
-    /// Purely a heuristic — skipping is optional, so backoff can never
-    /// change results.
-    skip_penalty: u64,
     /// Reusable idle-bank scratch handed to the special unit each cycle.
     idle_scratch: Vec<bool>,
     /// Attached telemetry sink (observational; never affects results).
@@ -284,10 +286,6 @@ pub struct Simulation<'w> {
     /// A failure observed by `advance_to`, reported by `finish`. Once set
     /// the engine is done and refuses to advance further.
     pending_failure: Option<SimErrorKind>,
-    /// `DRS_SKIP_DEBUG` counters (dead cycles, skip attempts/successes,
-    /// cycles skipped), kept on the struct so incremental driving
-    /// accumulates them across windows.
-    dbg_skip: [u64; 4],
 }
 
 impl<'w> Simulation<'w> {
@@ -316,13 +314,18 @@ impl<'w> Simulation<'w> {
             }
         }
         let full_mask = if cfg.simd_lanes == 32 { u32::MAX } else { (1u32 << cfg.simd_lanes) - 1 };
-        let warps = (0..cfg.max_warps).map(|_| WarpTiming::new(0, full_mask)).collect();
+        let warps: Vec<WarpTiming> =
+            (0..cfg.max_warps).map(|_| WarpTiming::new(0, full_mask)).collect();
         let slot_count = behavior.slot_count(cfg.max_warps, cfg.simd_lanes);
         let mut machine = MachineState::new(scripts, cfg.max_warps, cfg.simd_lanes, slot_count);
         behavior.initialize(&mut machine);
         let mem = MemoryHierarchy::new(&cfg);
         let banks = RegisterBanks::new(cfg.register_banks);
         let sched_current = (0..cfg.warp_schedulers).collect();
+        let nsched = cfg.warp_schedulers;
+        let sched_warps =
+            (0..nsched).map(|s| cfg.max_warps.saturating_sub(s).div_ceil(nsched)).collect();
+        let issue_limit = cfg.issues_per_scheduler();
         let block_counters = vec![(0, 0); program.blocks().len()];
         Simulation {
             cfg,
@@ -332,6 +335,10 @@ impl<'w> Simulation<'w> {
             machine,
             mem,
             banks,
+            wake: vec![0; warps.len()],
+            live_warps: warps.len(),
+            issue_limit,
+            sched_warps,
             warps,
             stats: SimStats::default(),
             block_counters,
@@ -339,8 +346,6 @@ impl<'w> Simulation<'w> {
             cycle: 0,
             sched_current,
             fastpath: true,
-            skip_cooldown: 0,
-            skip_penalty: 1,
             idle_scratch: Vec::new(),
             sink: None,
             attr: None,
@@ -358,7 +363,6 @@ impl<'w> Simulation<'w> {
             deadline_iters: 0,
             chip: None,
             pending_failure: None,
-            dbg_skip: [0; 4],
         }
     }
 
@@ -461,7 +465,7 @@ impl<'w> Simulation<'w> {
     /// True when this engine needs no more cycles: every warp has exited,
     /// or a failure was recorded.
     pub fn done(&self) -> bool {
-        self.pending_failure.is_some() || self.warps.iter().all(|w| w.exited)
+        self.pending_failure.is_some() || self.live_warps == 0
     }
 
     /// True when a failure has been recorded and is waiting for
@@ -491,7 +495,7 @@ impl<'w> Simulation<'w> {
     /// The run loop: step (and fast-forward) until all warps exit, the
     /// clock reaches `target`, or a failure fires.
     fn drive(&mut self, target: u64) -> Result<(), SimErrorKind> {
-        while !self.warps.iter().all(|w| w.exited) && self.cycle < target {
+        while self.live_warps > 0 && self.cycle < target {
             if self.cycle >= self.cfg.max_cycles {
                 return Err(SimErrorKind::CycleLimit { max_cycles: self.cfg.max_cycles });
             }
@@ -505,32 +509,12 @@ impl<'w> Simulation<'w> {
             }
             let issued_before = self.stats.issued.total + self.stats.issued_si.total;
             self.step()?;
-            // Only bother computing a wake-up target after a dead cycle: a
-            // cycle that issued usually has more ready work right behind it.
-            // Failed attempts back off exponentially — compute-bound phases
-            // produce long runs of dead-but-unskippable cycles, and paying
-            // the O(warps) wake scan on each one erases the fast path's win.
-            if self.stats.issued.total + self.stats.issued_si.total == issued_before {
-                self.dbg_skip[0] += 1;
-                if self.fastpath {
-                    if self.skip_cooldown > 0 {
-                        self.skip_cooldown -= 1;
-                    } else {
-                        self.dbg_skip[1] += 1;
-                        let before = self.cycle;
-                        if self.try_fast_forward(target) {
-                            self.dbg_skip[2] += 1;
-                            self.dbg_skip[3] += self.cycle - before;
-                            self.skip_penalty = 1;
-                        } else {
-                            self.skip_cooldown = self.skip_penalty;
-                            self.skip_penalty = (self.skip_penalty * 2).min(32);
-                        }
-                    }
-                }
-            } else {
-                self.skip_cooldown = 0;
-                self.skip_penalty = 1;
+            // Only look for a wake-up target after a dead cycle: a cycle
+            // that issued usually has more ready work right behind it.
+            if self.fastpath
+                && self.stats.issued.total + self.stats.issued_si.total == issued_before
+            {
+                self.try_fast_forward(target);
             }
         }
         Ok(())
@@ -540,18 +524,6 @@ impl<'w> Simulation<'w> {
     /// stored failure. The terminal half of [`Simulation::run`], split out
     /// so incrementally driven (chip-mode) engines share one epilogue.
     pub fn finish(mut self) -> Result<SimStats, SimError> {
-        if std::env::var_os("DRS_SKIP_DEBUG").is_some() {
-            let [dead, attempts, successes, skipped] = self.dbg_skip;
-            eprintln!(
-                "[skipdbg] cycles={} dead={} attempts={} successes={} skipped={} avg_span={:.1}",
-                self.cycle,
-                dead,
-                attempts,
-                successes,
-                skipped,
-                skipped as f64 / successes.max(1) as f64
-            );
-        }
         self.stats.cycles = self.cycle;
         self.stats.rays_completed = self.machine.rays_completed;
         self.stats.l1t = self.mem.l1t.stats;
@@ -631,6 +603,7 @@ impl<'w> Simulation<'w> {
                     attr.producers[entry.warp][d as usize] =
                         RegProducer { mem: true, mshr_queued: false, base_ready: entry.ready_acc };
                 }
+                self.refresh_wake(entry.warp);
             }
         }
     }
@@ -709,15 +682,12 @@ impl<'w> Simulation<'w> {
     /// breakpoint so the bulk-charged buckets are constant over the span
     /// (preserving `Σ buckets == cycles × warps` and interval timelines
     /// exactly; see DESIGN.md "Simulator fast path").
-    ///
-    /// Returns `true` iff the cycle counter actually advanced, so the run
-    /// loop can back off after failed attempts.
-    fn try_fast_forward(&mut self, cap: u64) -> bool {
+    fn try_fast_forward(&mut self, cap: u64) {
         let now = self.cycle;
         let wake = self.next_wake(now);
         if wake == u64::MAX && self.chip.is_none() {
             // All warps exited (the run loop is about to terminate).
-            return false;
+            return;
         }
         // In chip mode `wake == u64::MAX` means every live warp waits on a
         // shared-memory response, which can only arrive at the window
@@ -727,7 +697,7 @@ impl<'w> Simulation<'w> {
             target = target.min(self.next_bucket_breakpoint(now));
         }
         if target <= now {
-            return false;
+            return;
         }
         if self.attr.is_some() {
             self.span_buckets();
@@ -738,69 +708,54 @@ impl<'w> Simulation<'w> {
             }
         }
         self.cycle = target;
-        true
     }
 
     /// Earliest cycle `>= now` at which any warp could issue, or the
-    /// special unit needs its tick. Returns `now` as soon as any warp is
-    /// issuable (no skip), and `u64::MAX` iff every warp has exited.
+    /// special unit needs its tick: the minimum of the per-warp wake
+    /// times (see [`Simulation::refresh_wake`]) and the special unit's
+    /// next event. Returns `now` when some warp is issuable (no skip), and
+    /// `u64::MAX` when every warp has exited or, in chip mode, every live
+    /// warp waits on a shared-memory response and the unit is quiescent.
     ///
-    /// Per warp: an exited warp never wakes; a blocked warp wakes at
-    /// `blocked_until`; otherwise the warp wakes when the last scoreboard
-    /// timestamp among its next op's registers releases (a warp at a block
-    /// terminator, or with all operands ready, is issuable *now* — this
-    /// deliberately covers ready `Special` ops, whose issue attempt
-    /// mutates unit state even when refused). Loads encode their full
-    /// memory latency — MSHR fill included — into `reg_ready` at issue
-    /// time, so no separate memory-subsystem wake is needed.
+    /// Loads encode their full memory latency — MSHR fill included — into
+    /// `reg_ready` at issue time, so no separate memory-subsystem wake is
+    /// needed.
     fn next_wake(&self, now: u64) -> u64 {
-        // Consult the special unit before the O(warps) scoreboard scan:
-        // during DRS swap/transfer phases it demands a tick every cycle,
-        // which vetoes any skip in O(1).
+        if self.live_warps == 0 {
+            // Quiescent regardless of the special unit (the run loop is
+            // about to terminate).
+            return u64::MAX;
+        }
         let special_wake = match self.special.next_event(now) {
             Some(t) if t <= now => return now,
             Some(t) => t,
             None => u64::MAX,
         };
-        let mut wake = u64::MAX;
-        let mut alive = false;
-        for warp in &self.warps {
-            if warp.exited {
-                continue;
-            }
-            alive = true;
-            let w_wake = if warp.blocked_until > now {
-                warp.blocked_until
-            } else {
-                let top = warp.effective_top();
-                match self.program.block(top.pc).ops.get(top.op_idx) {
-                    None => now, // terminators always issue
-                    Some(op) => {
-                        let mut t = now;
-                        for r in op.sources().chain(op.dst) {
-                            t = t.max(warp.reg_ready[r as usize]);
-                        }
-                        t
-                    }
+        // A warp waiting on a chip-mode sentinel (`reg_ready == u64::MAX`)
+        // wakes only through `chip_complete` at a window barrier.
+        let warp_wake = self.wake.iter().copied().min().unwrap_or(u64::MAX);
+        warp_wake.min(special_wake).max(now)
+    }
+
+    /// Recompute warp `w`'s wake time from its SIMT stack, scoreboard and
+    /// block. A warp at a block terminator wakes at `blocked_until`
+    /// (terminators always issue). A `Special` op wakes once its operands
+    /// are ready even though the unit may refuse it: the refused attempt
+    /// still mutates unit state, so it must happen.
+    fn refresh_wake(&mut self, w: usize) {
+        let warp = &self.warps[w];
+        self.wake[w] = if warp.exited {
+            u64::MAX
+        } else {
+            let top = warp.effective_top();
+            let mut t = warp.blocked_until;
+            if let Some(op) = self.program.block(top.pc).ops.get(top.op_idx) {
+                for r in op.sources().chain(op.dst) {
+                    t = t.max(warp.reg_ready[r as usize]);
                 }
-            };
-            if w_wake <= now {
-                return now;
             }
-            wake = wake.min(w_wake);
-        }
-        if !alive {
-            // Every warp exited: quiescent regardless of the special unit
-            // (the run loop is about to terminate).
-            return u64::MAX;
-        }
-        if wake == u64::MAX {
-            // Live warps, but every one waits on a chip-mode sentinel
-            // (`reg_ready == u64::MAX`): only the special unit — or a
-            // shared-memory response at the window barrier — wakes us.
-            return special_wake;
-        }
-        wake.min(special_wake)
+            t
+        };
     }
 
     /// Earliest cycle `> now` at which any warp's stall bucket could
@@ -1056,8 +1011,7 @@ impl<'w> Simulation<'w> {
     /// fly so the candidate scan allocates nothing.
     fn schedule(&mut self, sched: usize) {
         let nsched = self.cfg.warp_schedulers;
-        // Number of warps owned by this scheduler.
-        let n = self.cfg.max_warps.saturating_sub(sched).div_ceil(nsched);
+        let n = self.sched_warps[sched];
         if n == 0 {
             return;
         }
@@ -1090,11 +1044,18 @@ impl<'w> Simulation<'w> {
     }
 
     /// Attempt to issue from candidate warp `w`; true ends the scan.
+    ///
+    /// A warp whose wake time lies in the future is skipped without an
+    /// attempt: it is exited, blocked or waiting on an operand, so the
+    /// attempt could only fail, with no effect on the machine.
     fn try_schedule_warp(&mut self, sched: usize, w: usize) -> bool {
-        if self.warps[w].exited || self.warps[w].blocked_until > self.cycle {
+        if self.wake[w] > self.cycle {
+            #[cfg(feature = "validate")]
+            self.check_skip_justified(w);
             return false;
         }
         let issued = self.issue_from_warp(w);
+        self.refresh_wake(w);
         if issued > 0 {
             if let Some(attr) = &mut self.attr {
                 attr.issued[w] = true;
@@ -1105,13 +1066,31 @@ impl<'w> Simulation<'w> {
         false
     }
 
+    /// Runtime cross-check of a scheduler skip: the warp must fail the
+    /// test an issue attempt would apply (exited, blocked, or its next
+    /// op's operands not ready).
+    #[cfg(feature = "validate")]
+    fn check_skip_justified(&self, w: usize) {
+        let warp = &self.warps[w];
+        if warp.exited || warp.blocked_until > self.cycle {
+            return;
+        }
+        let top = warp.effective_top();
+        let op = self.program.block(top.pc).ops.get(top.op_idx);
+        assert!(
+            op.is_some_and(|op| !self.operands_ready(w, op)),
+            "validate: scheduler skipped warp {w} at cycle {} (wake {}) although it could issue",
+            self.cycle,
+            self.wake[w]
+        );
+    }
+
     /// Try to issue up to the per-scheduler dual-issue limit from warp `w`.
     /// Returns how many instructions issued.
     fn issue_from_warp(&mut self, w: usize) -> usize {
-        let limit = self.cfg.issues_per_scheduler();
         let mut issued = 0;
         let mut last_dst: Option<u8> = None;
-        while issued < limit {
+        while issued < self.issue_limit {
             self.warps[w].settle();
             let top = *self.warps[w].top();
             let block = self.program.block(top.pc);
@@ -1186,14 +1165,15 @@ impl<'w> Simulation<'w> {
     /// Issue one micro-op for warp `w` under `mask`.
     fn try_issue_op(&mut self, w: usize, op: &MicroOp, mask: u32) -> IssueResult {
         let now = self.cycle;
-        // Active lanes on the stack: at most 32 (config-validated).
+        // Active lanes on the stack: at most 32 (config-validated), and
+        // the mask never names a lane past `simd_lanes`.
         let mut active_buf = [0usize; 32];
         let mut na = 0;
-        for l in 0..self.cfg.simd_lanes {
-            if mask & (1 << l) != 0 {
-                active_buf[na] = l;
-                na += 1;
-            }
+        let mut bits = mask;
+        while bits != 0 {
+            active_buf[na] = bits.trailing_zeros() as usize;
+            na += 1;
+            bits &= bits - 1;
         }
         let active = &active_buf[..na];
         debug_assert!(!active.is_empty(), "issue with empty mask");
@@ -1437,13 +1417,17 @@ impl<'w> Simulation<'w> {
             }
             Terminator::Exit => {
                 self.warps[w].exited = true;
+                self.live_warps -= 1;
             }
             Terminator::Branch { cond, on_true, on_false, reconverge } => {
                 let mut t_mask = 0u32;
-                for l in 0..self.cfg.simd_lanes {
-                    if mask & (1 << l) != 0 && self.behavior.eval_cond(cond, w, l, &self.machine) {
+                let mut bits = mask;
+                while bits != 0 {
+                    let l = bits.trailing_zeros() as usize;
+                    if self.behavior.eval_cond(cond, w, l, &self.machine) {
                         t_mask |= 1 << l;
                     }
+                    bits &= bits - 1;
                 }
                 let f_mask = mask & !t_mask;
                 #[cfg(feature = "validate")]
@@ -2056,6 +2040,37 @@ mod more_engine_tests {
         assert_eq!(shared.mem_transactions, 1, "32 lanes, one line");
         let scattered = run_probe(A_SCATTER);
         assert_eq!(scattered.mem_transactions, 32, "one line per lane");
+    }
+
+    /// Chip mode: a load that misses the private L1 parks its destination
+    /// at the `u64::MAX` sentinel, so the dependent op's warp sleeps until
+    /// `chip_complete` delivers the response — which must recompute the
+    /// warp's wake time, or the warp would never be scheduled again.
+    #[test]
+    fn chip_response_wakes_a_warp_parked_on_the_load_sentinel() {
+        let program = Program::new(vec![Block::new(
+            "only",
+            vec![MicroOp::load(1, MemSpace::Texture, A_SHARED, &[]), MicroOp::alu(2, &[1], 9)],
+            Terminator::Exit,
+        )]);
+        let scripts: Vec<RayScript> = vec![];
+        let cfg = GpuConfig { max_warps: 1, ..GpuConfig::gtx780() };
+        let mut sim =
+            Simulation::new(cfg, program, Box::new(CoalesceProbe), Box::new(NullSpecial), &scripts);
+        sim.attach_chip_port();
+        sim.advance_to(500);
+        let mut requests = Vec::new();
+        sim.drain_requests(&mut requests);
+        assert_eq!(requests.len(), 1, "one cold line misses the private L1");
+        assert!(!sim.done());
+        assert_eq!(sim.wake_hint(), u64::MAX, "only the response can wake the warp");
+        let issued = sim.stats.issued.total;
+        sim.chip_complete(requests[0].group, 700);
+        assert_eq!(sim.wake_hint(), 700);
+        sim.advance_to(1000);
+        assert!(sim.done(), "the dependent op issued and the warp exited");
+        assert_eq!(sim.stats.issued.total, issued + 2, "the ALU op and the exit");
+        sim.finish().expect("completes");
     }
 
     /// Scheduler-policy ablation: LRR and GTO produce different (but both
