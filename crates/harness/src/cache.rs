@@ -21,13 +21,13 @@
 use crate::job::WorkloadSpec;
 use drs_trace::{BounceStreams, TraceIoError};
 use std::fs;
-use std::io::{BufReader, BufWriter};
+use std::io::{BufReader, BufWriter, Write};
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::time::SystemTime;
 
 /// Snapshot of cache activity for one run.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+#[derive(Debug, Clone, Copy, Default, PartialEq)]
 pub struct CacheCounters {
     /// Workloads served from disk.
     pub hits: u64,
@@ -40,6 +40,10 @@ pub struct CacheCounters {
     /// Captured workloads that could not be persisted (the run continues
     /// with the in-memory copy; the failure is recorded, not fatal).
     pub store_failures: u64,
+    /// Wall time of the run's capture phase in milliseconds: cache reads
+    /// and fresh captures alike. Set by [`crate::run_jobs`], with or
+    /// without a cache; a cache's own [`StreamCache::counters`] leave it 0.
+    pub capture_ms: f64,
 }
 
 /// A cache entry that could not be written: the destination path and the
@@ -129,6 +133,7 @@ impl StreamCache {
             evictions: self.evictions.load(Ordering::Relaxed),
             size_evictions: self.size_evictions.load(Ordering::Relaxed),
             store_failures: self.store_failures.load(Ordering::Relaxed),
+            capture_ms: 0.0,
         }
     }
 
@@ -235,12 +240,17 @@ impl StreamCache {
         let write = || -> std::io::Result<()> {
             fs::create_dir_all(&self.dir)?;
             let tmp = path.with_extension(format!("tmp.{}", std::process::id()));
-            {
-                let mut w = BufWriter::new(fs::File::create(&tmp)?);
-                streams.save(&mut w)?;
+            let mut w = BufWriter::new(fs::File::create(&tmp)?);
+            // Dropping a BufWriter swallows its final flush error: flush
+            // explicitly so a short write never renames a torn entry into
+            // place.
+            let written = streams.save(&mut w).and_then(|()| w.flush());
+            drop(w);
+            if let Err(e) = written {
+                let _ = fs::remove_file(&tmp);
+                return Err(e);
             }
-            fs::rename(&tmp, &path)?;
-            Ok(())
+            fs::rename(&tmp, &path)
         };
         let result = write().map_err(|source| CacheStoreError { path: path.clone(), source });
         if result.is_ok() {
@@ -329,6 +339,29 @@ mod tests {
         let err = cache.store(&spec, &streams).unwrap_err();
         assert!(err.to_string().contains("failed to write cache entry"), "{err}");
         let _ = fs::remove_file(&blocker);
+    }
+
+    #[cfg(target_os = "linux")]
+    #[test]
+    fn failed_final_flush_is_counted_and_never_renamed_into_place() {
+        // The entry is smaller than the BufWriter's buffer, so every byte
+        // reaches the file in the final flush — and the temp path leads to
+        // /dev/full, where that flush fails with ENOSPC.
+        let cache = temp_cache();
+        let spec = WorkloadSpec { rays: 4, bounces: 1, ..tiny_spec() };
+        let mut bytes = Vec::new();
+        spec.capture().save(&mut bytes).unwrap();
+        assert!(bytes.len() < 8 * 1024, "entry of {} bytes overflows the buffer", bytes.len());
+        fs::create_dir_all(cache.dir()).unwrap();
+        let path = cache.path_for(&spec);
+        let tmp = path.with_extension(format!("tmp.{}", std::process::id()));
+        std::os::unix::fs::symlink("/dev/full", &tmp).unwrap();
+        let streams = cache.get_or_capture(&spec);
+        assert_eq!(streams.depth(), 1, "capture still succeeds in memory");
+        assert_eq!(cache.counters().store_failures, 1, "failed flush must be counted");
+        assert!(fs::symlink_metadata(&path).is_err(), "torn entry renamed into place");
+        assert!(fs::symlink_metadata(&tmp).is_err(), "temp file left behind");
+        let _ = fs::remove_dir_all(cache.dir());
     }
 
     #[test]

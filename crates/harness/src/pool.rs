@@ -150,7 +150,8 @@ impl RunOptions {
 pub struct RunReport {
     /// One result per input job, same order.
     pub cells: Vec<CellResult>,
-    /// Capture-cache activity (all zeros when uncached).
+    /// Capture-cache activity (all zeros when uncached) and the capture
+    /// phase's wall time.
     pub cache: CacheCounters,
     /// Cells reused from a checkpoint instead of being re-simulated.
     pub resumed: usize,
@@ -389,10 +390,12 @@ pub fn run_jobs(jobs: &[SimJob], opts: &RunOptions) -> RunReport {
             distinct.push(j.workload);
         }
     }
+    let capture_start = Instant::now();
     let captured = parallel_map_catching(&distinct, opts.workers, |_, spec| match &opts.capture {
         CaptureMode::Uncached => spec.capture(),
         CaptureMode::Cached(cache) => cache.get_or_capture(spec),
     });
+    let capture_ms = capture_start.elapsed().as_secs_f64() * 1e3;
     let streams_by_key: HashMap<u64, Result<Arc<drs_trace::BounceStreams>, String>> = distinct
         .iter()
         .zip(captured)
@@ -485,7 +488,7 @@ pub fn run_jobs(jobs: &[SimJob], opts: &RunOptions) -> RunReport {
     };
     RunReport {
         cells,
-        cache,
+        cache: CacheCounters { capture_ms, ..cache },
         resumed: resumed_count.into_inner(),
         checkpoint_writes: checkpoint_state
             .as_ref()

@@ -303,10 +303,11 @@ impl ResultsFile {
     }
 
     /// Run-level execution metrics aggregated over every cell: the
-    /// fault-tolerance and caching story of the run as one object (cache
-    /// traffic, retry attempts, checkpoint writes, per-cell wall-clock
+    /// fault-tolerance story of the run as one object (retry attempts,
+    /// checkpoint writes, capture-phase wall time, per-cell wall-clock
     /// spread) — so CI can watch harness health, not just simulator
-    /// counters.
+    /// counters. Cache and store counters appear once, in the run
+    /// document's own `capture_cache` and `store` objects.
     fn write_metrics_json(&self, j: &mut JsonBuf) {
         let attempts: u64 = self.cells.iter().map(|(_, c)| c.attempts as u64).sum();
         let cells = self.cells.len() as u64;
@@ -322,17 +323,7 @@ impl ResultsFile {
         j.kv_u64("retries", attempts - cells.min(attempts));
         j.kv_u64("resumed", self.resumed as u64);
         j.kv_u64("checkpoint_writes", self.checkpoint_writes);
-        j.kv_u64("cache_hits", self.cache.hits);
-        j.kv_u64("cache_misses", self.cache.misses);
-        j.kv_u64("cache_evictions", self.cache.evictions);
-        j.kv_u64("cache_size_evictions", self.cache.size_evictions);
-        j.kv_u64("cache_store_failures", self.cache.store_failures);
-        j.kv_u64("store_hits", self.store.hits);
-        j.kv_u64("store_misses", self.store.misses);
-        j.kv_u64("store_writes", self.store.writes);
-        j.kv_u64("store_quarantined", self.store.quarantined);
-        j.kv_u64("store_write_failures", self.store.write_failures);
-        j.kv_u64("store_lock_reclaims", self.store.lock_reclaims);
+        j.kv_f64("capture_ms", self.cache.capture_ms);
         j.kv_f64("cell_wall_ms_sum", wall_sum);
         j.kv_f64("cell_wall_ms_max", wall.iter().copied().fold(0.0, f64::max));
         j.kv_f64("cell_wall_ms_mean", wall_sum / (cells.max(1)) as f64);
@@ -682,6 +673,7 @@ mod tests {
             12.5,
             CacheCounters { hits: 3, misses: 1, size_evictions: 2, ..Default::default() },
         );
+        file.cache.capture_ms = 4.25;
         file.store = StoreCounters { hits: 5, misses: 7, writes: 7, ..Default::default() };
         file.cells = vec![(vec!["fig10".into()], sample_cell())];
         let run = file.run_json();
@@ -693,11 +685,23 @@ mod tests {
             "\"store\":{\"hits\":5,\"misses\":7,\"writes\":7",
             "\"metrics\":{\"cells_total\":1",
             "\"retries\":0",
-            "\"cache_hits\":3",
-            "\"store_hits\":5",
+            "\"capture_ms\":4.25",
             "\"wall_ms\":12.5",
         ] {
             assert!(run.contains(needle), "missing {needle} in {run}");
+        }
+        // Each counter appears once: in its top-level object, not again
+        // inside `metrics`.
+        for copy in [
+            "\"cache_",
+            "\"store_hits\"",
+            "\"store_misses\"",
+            "\"store_writes\"",
+            "\"store_quarantined\"",
+            "\"store_write_failures\"",
+            "\"store_lock_reclaims\"",
+        ] {
+            assert!(!run.contains(copy), "run doc repeats {copy} in metrics: {run}");
         }
         // The results document is deterministic: none of the run-volatile
         // fields appear (per-cell wall_ms is the only timing it carries).

@@ -5,6 +5,8 @@ use drs_bvh::{BuildParams, Bvh, TraversalEvent};
 use drs_math::{dot, LowDiscrepancy, Ray, RAY_EPSILON};
 use drs_render::sample_bsdf;
 use drs_scene::Scene;
+use std::num::NonZero;
+use std::sync::atomic::{AtomicUsize, Ordering};
 
 /// All rays captured for one bounce depth.
 #[derive(Debug, Clone)]
@@ -114,6 +116,10 @@ impl BounceStreams {
     }
 
     /// [`BounceStreams::capture`] with a caller-provided BVH.
+    ///
+    /// The paths are walked on every core the process may use
+    /// ([`std::thread::available_parallelism`]); the streams are
+    /// byte-identical for any number of walk threads.
     pub fn capture_with_bvh(
         scene: &Scene,
         bvh: &Bvh,
@@ -121,53 +127,56 @@ impl BounceStreams {
         max_bounces: usize,
         seed: u64,
     ) -> BounceStreams {
+        let threads = std::thread::available_parallelism().map_or(1, NonZero::get);
+        Self::capture_on_threads(scene, bvh, target_per_bounce, max_bounces, seed, threads)
+    }
+
+    /// [`BounceStreams::capture_with_bvh`] on `threads` walk threads.
+    ///
+    /// Paths are walked in rounds of [`ROUND_PATHS`] and merged in path
+    /// order under the serial walk's rules: stop before a path once every
+    /// bucket is full, and drop a script whose bucket is full. A path
+    /// depends only on its own pixel's sampler and the read-only scene and
+    /// BVH, and a bucket full when a round starts stays full through it, so
+    /// the round's paths can be walked in any order on any thread.
+    pub(crate) fn capture_on_threads(
+        scene: &Scene,
+        bvh: &Bvh,
+        target_per_bounce: usize,
+        max_bounces: usize,
+        seed: u64,
+        threads: usize,
+    ) -> BounceStreams {
         assert!(target_per_bounce > 0, "target_per_bounce must be positive");
         assert!(max_bounces > 0, "max_bounces must be positive");
         let mut streams: Vec<BounceStream> = (1..=max_bounces)
             .map(|b| BounceStream { bounce: b, scripts: Vec::with_capacity(target_per_bounce) })
             .collect();
-        // Virtual film: 4:3, one primary sample per pixel per sweep.
-        let width = ((target_per_bounce as f32 * 4.0 / 3.0).sqrt().ceil() as usize).max(1);
-        let height = target_per_bounce.div_ceil(width);
-        // Each sweep yields `width*height` paths; escape decay means deep
-        // buckets fill slower, so allow a bounded number of re-sweeps.
-        let max_sweeps = 32;
-        // Pixels are visited in warp-shaped 8x4 tiles, matching how a GPU
-        // rasterizes primary-ray dispatches: each group of 32 consecutive
-        // rays (one warp) covers a compact screen tile, which is what makes
-        // primary rays coherent in the paper's Figure 2.
-        let tiles_x = width.div_ceil(8);
-        let tiles_y = height.div_ceil(4);
-        'sweeps: for sweep in 0..max_sweeps {
-            for tile in 0..tiles_x * tiles_y {
-                let tx = (tile % tiles_x) * 8;
-                let ty = (tile / tiles_x) * 4;
-                for local in 0..32 {
-                    let px = tx + local % 8;
-                    let py = ty + local / 8;
-                    if px >= width || py >= height {
-                        continue;
+        let film = Film::new(target_per_bounce);
+        let mut paths = film.paths();
+        loop {
+            let open: Vec<bool> =
+                streams.iter().map(|s| s.scripts.len() < target_per_bounce).collect();
+            if !open.contains(&true) {
+                break;
+            }
+            let round: Vec<PathId> = paths.by_ref().take(ROUND_PATHS).collect();
+            if round.is_empty() {
+                break;
+            }
+            let walked = walk_round(&round, threads, |path| {
+                let (ray, mut sampler) = film.primary_sample(scene, seed, path);
+                walk_one_path(scene, bvh, ray, &mut sampler, &open)
+            });
+            for scripts in walked {
+                if streams.iter().all(|s| s.scripts.len() >= target_per_bounce) {
+                    break;
+                }
+                for (bucket, script) in streams.iter_mut().zip(scripts) {
+                    if bucket.scripts.len() < target_per_bounce {
+                        // Open now, so open when the round began: recorded.
+                        bucket.scripts.push(script.expect("an open bucket's script is recorded"));
                     }
-                    if streams.iter().all(|s| s.scripts.len() >= target_per_bounce) {
-                        break 'sweeps;
-                    }
-                    let pixel_id = (py * width + px) as u64;
-                    let mut sampler =
-                        LowDiscrepancy::new(seed ^ pixel_id.wrapping_mul(0x9E37_79B9_7F4A_7C15));
-                    sampler.start_sample(sweep as u64);
-                    let (jx, jy) = sampler.next_2d();
-                    let u = (px as f32 + jx) / width as f32;
-                    let v = 1.0 - (py as f32 + jy) / height as f32;
-                    let ray = scene.camera().primary_ray(u, v);
-                    walk_one_path(
-                        scene,
-                        bvh,
-                        ray,
-                        &mut sampler,
-                        max_bounces,
-                        target_per_bounce,
-                        &mut streams,
-                    );
                 }
             }
         }
@@ -195,31 +204,138 @@ impl BounceStreams {
     }
 }
 
-/// Trace one full path, appending each bounce's script to its bucket
-/// (buckets beyond `target` drop extra scripts).
+/// Paths walked per round. Buckets are checked only between rounds, so a
+/// bucket that fills mid-round records scripts until the round ends only
+/// for the merge to drop them; larger rounds trade that waste for fewer
+/// thread joins.
+const ROUND_PATHS: usize = 2048;
+
+/// Paths a walk thread claims at a time: one warp-shaped film tile.
+const CHUNK_PATHS: usize = 32;
+
+/// Film re-sweeps allowed: escape decay means deep buckets fill slower
+/// than the primary one, so the film is swept again with new jitter, a
+/// bounded number of times.
+const MAX_SWEEPS: usize = 32;
+
+/// One primary sample: the sweep it belongs to and its film pixel.
+#[derive(Debug, Clone, Copy)]
+struct PathId {
+    sweep: usize,
+    px: usize,
+    py: usize,
+}
+
+/// The virtual film the primary samples sweep: 4:3, one sample per pixel
+/// per sweep.
+#[derive(Debug, Clone, Copy)]
+struct Film {
+    width: usize,
+    height: usize,
+}
+
+impl Film {
+    fn new(target_per_bounce: usize) -> Film {
+        let width = ((target_per_bounce as f32 * 4.0 / 3.0).sqrt().ceil() as usize).max(1);
+        Film { width, height: target_per_bounce.div_ceil(width) }
+    }
+
+    /// Every primary sample in capture order. Pixels are visited in
+    /// warp-shaped 8x4 tiles, matching how a GPU rasterizes primary-ray
+    /// dispatches: each group of 32 consecutive rays (one warp) covers a
+    /// compact screen tile, which is what makes primary rays coherent in
+    /// the paper's Figure 2.
+    fn paths(self) -> impl Iterator<Item = PathId> {
+        let tiles_x = self.width.div_ceil(8);
+        let tiles = tiles_x * self.height.div_ceil(4);
+        (0..MAX_SWEEPS).flat_map(move |sweep| {
+            (0..tiles * 32).filter_map(move |i| {
+                let (tile, local) = (i / 32, i % 32);
+                let px = (tile % tiles_x) * 8 + local % 8;
+                let py = (tile / tiles_x) * 4 + local / 8;
+                (px < self.width && py < self.height).then_some(PathId { sweep, px, py })
+            })
+        })
+    }
+
+    /// The primary ray of `path` and the pixel sampler the rest of its
+    /// path draws from.
+    fn primary_sample(self, scene: &Scene, seed: u64, path: PathId) -> (Ray, LowDiscrepancy) {
+        let pixel_id = (path.py * self.width + path.px) as u64;
+        let mut sampler = LowDiscrepancy::new(seed ^ pixel_id.wrapping_mul(0x9E37_79B9_7F4A_7C15));
+        sampler.start_sample(path.sweep as u64);
+        let (jx, jy) = sampler.next_2d();
+        let u = (path.px as f32 + jx) / self.width as f32;
+        let v = 1.0 - (path.py as f32 + jy) / self.height as f32;
+        (scene.camera().primary_ray(u, v), sampler)
+    }
+}
+
+/// Walk every path of `round` on up to `threads` threads, the caller's
+/// included. Threads claim contiguous chunks of [`CHUNK_PATHS`] paths
+/// until none is left; results come back in path order.
+fn walk_round<T: Send>(
+    round: &[PathId],
+    threads: usize,
+    walk: impl Fn(PathId) -> T + Sync,
+) -> Vec<T> {
+    let chunks: Vec<&[PathId]> = round.chunks(CHUNK_PATHS).collect();
+    // Hands out chunk indices only; the walked paths travel through the
+    // joins, so no ordering beyond the counter's own is needed.
+    let next = AtomicUsize::new(0);
+    let work = || {
+        let mut done = Vec::new();
+        loop {
+            let k = next.fetch_add(1, Ordering::Relaxed);
+            let Some(chunk) = chunks.get(k) else { return done };
+            done.push((k, chunk.iter().map(|&p| walk(p)).collect::<Vec<T>>()));
+        }
+    };
+    let mut done = std::thread::scope(|s| {
+        let helpers: Vec<_> = (1..threads.min(chunks.len())).map(|_| s.spawn(work)).collect();
+        let mut done = work();
+        for helper in helpers {
+            done.extend(helper.join().unwrap_or_else(|panic| std::panic::resume_unwind(panic)));
+        }
+        done
+    });
+    done.sort_unstable_by_key(|&(k, _)| k);
+    done.into_iter().flat_map(|(_, walked)| walked).collect()
+}
+
+/// Trace one full path, returning one entry per bounce walked: the ray's
+/// script where `open` says its bucket still takes scripts, `None` where
+/// the bucket is full and the ray is traced uninstrumented, only to
+/// continue the path. The walk ends early once no later bucket is open.
 fn walk_one_path(
     scene: &Scene,
     bvh: &Bvh,
     mut ray: Ray,
     sampler: &mut LowDiscrepancy,
-    max_bounces: usize,
-    target: usize,
-    streams: &mut [BounceStream],
-) {
-    for bounce in 1..=max_bounces {
-        let mut steps: Vec<Step> = Vec::with_capacity(48);
-        let hit = bvh.intersect_instrumented(scene.mesh(), &ray, &mut |e| {
-            steps.push(match e {
-                TraversalEvent::Inner { node_index, both_children_hit } => {
-                    Step::Inner { node_addr: bvh.node_addr(node_index as usize), both_children_hit }
-                }
-                TraversalEvent::Leaf { node_index, prim_count, first_prim } => Step::Leaf {
-                    node_addr: bvh.node_addr(node_index as usize),
-                    prim_base_addr: bvh.prim_addr(first_prim as usize),
-                    prim_count,
-                },
-            });
-        });
+    open: &[bool],
+) -> Vec<Option<RayScript>> {
+    let walked = open.iter().rposition(|&o| o).map_or(0, |last| last + 1);
+    let mut scripts = Vec::with_capacity(walked);
+    for &record in &open[..walked] {
+        let mut steps: Vec<Step> = Vec::new();
+        let hit = if record {
+            steps.reserve(48);
+            bvh.intersect_instrumented(scene.mesh(), &ray, &mut |e| {
+                steps.push(match e {
+                    TraversalEvent::Inner { node_index, both_children_hit } => Step::Inner {
+                        node_addr: bvh.node_addr(node_index as usize),
+                        both_children_hit,
+                    },
+                    TraversalEvent::Leaf { node_index, prim_count, first_prim } => Step::Leaf {
+                        node_addr: bvh.node_addr(node_index as usize),
+                        prim_base_addr: bvh.prim_addr(first_prim as usize),
+                        prim_count,
+                    },
+                });
+            })
+        } else {
+            bvh.intersect(scene.mesh(), &ray)
+        };
         let (termination, continuation) = match hit {
             None => (Termination::Escaped, None),
             Some(h) => {
@@ -240,15 +356,13 @@ fn walk_one_path(
                 }
             }
         };
-        let bucket = &mut streams[bounce - 1];
-        if bucket.scripts.len() < target {
-            bucket.scripts.push(RayScript::new(steps, termination));
-        }
+        scripts.push(record.then(|| RayScript::new(steps, termination)));
         match continuation {
             Some(next) => ray = next,
             None => break,
         }
     }
+    scripts
 }
 
 #[cfg(test)]
@@ -329,6 +443,46 @@ mod tests {
         for bounce in 1..=3 {
             assert_eq!(a.bounce(bounce).scripts, b.bounce(bounce).scripts);
         }
+    }
+
+    /// The encoded bytes of a capture walked on `threads` threads.
+    fn encoded(scene: &Scene, target: usize, bounces: usize, threads: usize) -> Vec<u8> {
+        let bvh = Bvh::build(scene.mesh(), &BuildParams::default());
+        let streams = BounceStreams::capture_on_threads(scene, &bvh, target, bounces, 7, threads);
+        let mut bytes = Vec::new();
+        streams.save(&mut bytes).unwrap();
+        bytes
+    }
+
+    #[test]
+    fn walk_thread_count_does_not_change_the_bytes() {
+        // One bounce: the only bucket fills after exactly `target` paths,
+        // so the final stop lands 100 paths into the second round.
+        let mid_round = (SceneKind::Conference.build_with_tris(600), ROUND_PATHS + 100, 1);
+        // An open scene: the deep buckets fill rounds after the primary one.
+        let open_scene = (SceneKind::Plants.build_with_tris(1_200), 400, 6);
+        // Deep buckets that never fill: the walk ends when the sweeps
+        // (several rounds' worth of paths) run out.
+        let exhausted = (SceneKind::FairyForest.build_with_tris(900), 200, 8);
+        for (scene, target, bounces) in [mid_round, open_scene, exhausted] {
+            let serial = encoded(&scene, target, bounces, 1);
+            for threads in [2, 3] {
+                assert!(
+                    encoded(&scene, target, bounces, threads) == serial,
+                    "{} ({target} rays, {bounces} bounces): {threads} threads differ from 1",
+                    scene.kind()
+                );
+            }
+        }
+    }
+
+    #[test]
+    fn exhausted_case_runs_out_of_sweeps() {
+        // Guards the third case above: its deepest bucket must stay short.
+        let scene = SceneKind::FairyForest.build_with_tris(900);
+        let bvh = Bvh::build(scene.mesh(), &BuildParams::default());
+        let streams = BounceStreams::capture_on_threads(&scene, &bvh, 200, 8, 7, 1);
+        assert!(streams.bounce(8).scripts.len() < 200, "fairy forest's deepest bucket filled");
     }
 
     #[test]
