@@ -29,8 +29,7 @@ use drs_core::overhead::{dmk_spawn_memory_bytes, paper, tbc_warp_buffer_bytes, D
 use drs_core::DrsConfig;
 use drs_harness::{
     run_jobs, CaptureMode, CellResult, CheckpointSpec, ChipConfig, FaultPlan, JobId, Method,
-    ResultStore, ResultsFile, RunOptions, Scale, Server, ServerOptions, SimJob, StreamCache,
-    WorkloadSpec,
+    ResultStore, ResultsFile, RunOptions, Scale, SimJob, StreamCache, WorkloadSpec,
 };
 use drs_scene::SceneKind;
 use drs_sim::{ActiveHistogram, GpuConfig};
@@ -84,7 +83,7 @@ fn main() {
         list_modes(&scale);
         return;
     }
-    // Standalone utility modes: neither runs the figure pipeline below.
+    // Standalone utility modes: none runs the figure pipeline below.
     if cli.mode == "perf" {
         perf_mode(&cli, &scale);
         return;
@@ -95,14 +94,6 @@ fn main() {
     }
     if cli.mode == "verify" {
         verify_mode(&cli);
-        return;
-    }
-    if cli.mode == "serve" {
-        serve_mode(&cli, &scale);
-        return;
-    }
-    if cli.mode == "submit" {
-        submit_mode(&cli);
         return;
     }
 
@@ -372,12 +363,6 @@ fn list_modes(scale: &Scale) {
                 0,
                 VERIFY_KERNELS.len()
             ),
-            "serve" => {
-                println!("{:10} {:>6}  crash-safe experiment service on --socket", mode, 0);
-            }
-            "submit" => {
-                println!("{:10} {:>6}  client: submit --figure to a running server", mode, 0);
-            }
             _ => match figures::by_name(mode, scale) {
                 Some(set) => {
                     let workloads = set.distinct_workloads();
@@ -810,209 +795,6 @@ fn verify_mode(cli: &cli::Cli) {
     }
     if total_errors > 0 {
         eprintln!("error: {total_errors} error-severity diagnostic(s); see {}", out.display());
-        std::process::exit(1);
-    }
-}
-
-/// `serve` mode: run the crash-safe experiment service until SIGTERM.
-/// Every finished cell is persisted to the result store as it completes,
-/// so a crash at any instant loses at most the in-flight cells and a
-/// restarted server resumes from the store with byte-identical results.
-fn serve_mode(cli: &cli::Cli, scale: &Scale) {
-    let faults = match &cli.inject {
-        Some(spec) => match FaultPlan::parse(spec) {
-            Ok(plan) => plan,
-            Err(e) => {
-                eprintln!("error: {e}\n\n{}", cli::USAGE);
-                std::process::exit(2);
-            }
-        },
-        None => FaultPlan::default(),
-    };
-    let opts = ServerOptions {
-        socket: cli.socket.clone(),
-        store_dir: cli.store_dir.clone().unwrap_or_else(ResultStore::default_dir),
-        cache_dir: StreamCache::default_dir(),
-        cache_limit: cli.cache_limit,
-        workers: cli.workers,
-        queue_limit: cli.queue,
-        scale: *scale,
-        fastpath: cli.fastpath,
-        retries: cli.retries,
-        faults,
-        progress: true,
-        ..ServerOptions::new(&cli.socket)
-    };
-    if let Err(e) = Server::run(opts) {
-        eprintln!("error: could not start server on {}: {e}", cli.socket.display());
-        std::process::exit(1);
-    }
-}
-
-/// `submit` mode: client for a running server. Submits `--figure`,
-/// streams per-cell progress to stderr, fetches the deterministic results
-/// document into `--out`. Exit 1 when any cell failed or the server shed
-/// the submission.
-fn submit_mode(cli: &cli::Cli) {
-    use drs_telemetry::check::{self, Value};
-    use std::io::{BufRead, BufReader, Write};
-    use std::os::unix::net::UnixStream;
-
-    let Some(figure) = &cli.figure else {
-        eprintln!("error: submit needs --figure (e.g. --figure fig2)\n\n{}", cli::USAGE);
-        std::process::exit(2);
-    };
-    // A server that was just spawned may not have bound its socket yet;
-    // retry briefly so `serve & submit` sequences are race-free, then
-    // fail loudly.
-    let deadline = std::time::Instant::now() + std::time::Duration::from_secs(10);
-    let stream = loop {
-        match UnixStream::connect(&cli.socket) {
-            Ok(s) => break s,
-            Err(e) => {
-                let transient = matches!(
-                    e.kind(),
-                    std::io::ErrorKind::NotFound | std::io::ErrorKind::ConnectionRefused
-                );
-                if !transient || std::time::Instant::now() >= deadline {
-                    eprintln!(
-                        "error: could not connect to {}: {e}\n(start the server with \
-                         `experiments serve`)",
-                        cli.socket.display()
-                    );
-                    std::process::exit(1);
-                }
-                std::thread::sleep(std::time::Duration::from_millis(100));
-            }
-        }
-    };
-    let mut writer = stream.try_clone().unwrap_or_else(|e| {
-        eprintln!("error: could not clone socket: {e}");
-        std::process::exit(1);
-    });
-    let mut reader = BufReader::new(stream);
-    let mut send = |line: String| {
-        writer.write_all(line.as_bytes()).and_then(|()| writer.write_all(b"\n")).unwrap_or_else(
-            |e| {
-                eprintln!("error: server connection lost: {e}");
-                std::process::exit(1);
-            },
-        );
-    };
-    let recv = |reader: &mut BufReader<UnixStream>| -> Value {
-        let mut line = String::new();
-        loop {
-            line.clear();
-            match reader.read_line(&mut line) {
-                Ok(0) => {
-                    eprintln!("error: server closed the connection");
-                    std::process::exit(1);
-                }
-                Ok(_) if line.trim().is_empty() => {}
-                Ok(_) => {
-                    return check::parse(line.trim()).unwrap_or_else(|e| {
-                        eprintln!("error: malformed server event: {e}");
-                        std::process::exit(1);
-                    });
-                }
-                Err(e) => {
-                    eprintln!("error: server connection lost: {e}");
-                    std::process::exit(1);
-                }
-            }
-        }
-    };
-    let event = |doc: &Value| doc.get("event").and_then(Value::as_str).unwrap_or("").to_string();
-
-    let hello = recv(&mut reader);
-    if event(&hello) != "hello" {
-        eprintln!("error: expected a hello event, got: {}", event(&hello));
-        std::process::exit(1);
-    }
-    send(format!("{{\"op\":\"submit\",\"figure\":\"{figure}\"}}"));
-    let accepted = recv(&mut reader);
-    let ticket = match event(&accepted).as_str() {
-        "accepted" => {
-            let ticket = accepted.get("ticket").and_then(Value::as_num).map_or(0, |n| n as u64);
-            let jobs = accepted.get("jobs").and_then(Value::as_num).unwrap_or(0.0);
-            eprintln!("[submitted {figure} as ticket {ticket} ({jobs} cells)]");
-            ticket
-        }
-        "busy" => {
-            eprintln!("error: server is at its admission limit (busy); retry later");
-            std::process::exit(1);
-        }
-        "draining" => {
-            eprintln!("error: server is draining and refused the submission");
-            std::process::exit(1);
-        }
-        other => {
-            let msg = accepted.get("message").and_then(Value::as_str).unwrap_or("");
-            eprintln!("error: submission failed ({other}): {msg}");
-            std::process::exit(1);
-        }
-    };
-    let failed: u64;
-    loop {
-        let ev = recv(&mut reader);
-        match event(&ev).as_str() {
-            "cell" => {
-                if cli.progress {
-                    let done = ev.get("done").and_then(Value::as_num).unwrap_or(0.0);
-                    let total = ev.get("total").and_then(Value::as_num).unwrap_or(0.0);
-                    let name = ev.get("cell").and_then(Value::as_str).unwrap_or("?");
-                    let source = ev.get("source").and_then(Value::as_str).unwrap_or("?");
-                    eprintln!("[{done}/{total}] {name} ({source})");
-                }
-            }
-            "done" => {
-                failed = ev.get("failed").and_then(Value::as_num).map_or(0, |n| n as u64);
-                break;
-            }
-            other => {
-                let msg = ev.get("message").and_then(Value::as_str).unwrap_or("");
-                eprintln!("error: unexpected server event '{other}': {msg}");
-                std::process::exit(1);
-            }
-        }
-    }
-    send(format!("{{\"op\":\"fetch\",\"ticket\":{ticket}}}"));
-    // The results event embeds the deterministic document verbatim; slice
-    // it out of the raw line (instead of re-serializing a parse) so the
-    // written file is byte-identical to what the server produced.
-    let mut line = String::new();
-    loop {
-        line.clear();
-        match reader.read_line(&mut line) {
-            Ok(0) => {
-                eprintln!("error: server closed the connection before the results");
-                std::process::exit(1);
-            }
-            Ok(_) if line.trim().is_empty() => {}
-            Ok(_) => break,
-            Err(e) => {
-                eprintln!("error: server connection lost: {e}");
-                std::process::exit(1);
-            }
-        }
-    }
-    let line = line.trim();
-    let Some(doc_at) = line.find("\"doc\":") else {
-        eprintln!("error: expected a results event, got: {line}");
-        std::process::exit(1);
-    };
-    let doc = &line[doc_at + "\"doc\":".len()..line.len() - 1];
-    if check::parse(doc).is_err() {
-        eprintln!("error: server returned a malformed results document");
-        std::process::exit(1);
-    }
-    if let Err(e) = drs_harness::write_text(&cli.out, doc) {
-        eprintln!("error: could not write {}: {e}", cli.out.display());
-        std::process::exit(1);
-    }
-    println!("[ticket {ticket} results -> {}]", cli.out.display());
-    if failed > 0 {
-        eprintln!("error: {failed} cell(s) failed; see the failure records in the results");
         std::process::exit(1);
     }
 }

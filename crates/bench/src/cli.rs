@@ -6,17 +6,15 @@
 use std::path::PathBuf;
 
 /// Every mode the binary accepts, in `all`-run order. `perf`, `report`,
-/// `verify`, `serve`, and `submit` are standalone utilities: `perf` times
-/// the simulator itself (fast path vs naive stepping) and writes
-/// `BENCH_sim.json`; `report` renders an existing
-/// `BENCH_experiments.json` into `RESULTS.md`; `verify` runs the static
-/// analyses over every registered kernel program and writes a
-/// machine-readable report; `serve` runs the crash-safe experiment
-/// service on a Unix socket; `submit` is its client. None is part of
+/// and `verify` are standalone utilities: `perf` times the simulator
+/// itself (fast path vs naive stepping) and writes `BENCH_sim.json`;
+/// `report` renders an existing `BENCH_experiments.json` into
+/// `RESULTS.md`; `verify` runs the static analyses over every registered
+/// kernel program and writes a machine-readable report. None is part of
 /// `all`.
-pub const MODES: [&str; 16] = [
+pub const MODES: [&str; 14] = [
     "table1", "fig2", "fig8", "fig9", "table2", "fig10", "fig11", "overhead", "ablation", "energy",
-    "perf", "report", "verify", "serve", "submit", "all",
+    "perf", "report", "verify", "all",
 ];
 
 /// Usage text printed on `--help` and on flag errors.
@@ -42,15 +40,6 @@ Modes:
                    BENCH_verify.json); exits 1 on any error-severity
                    diagnostic or when a shuffle live set differs from the
                    kernel's declared per-ray register count
-  serve            run the crash-safe experiment service on --socket:
-                   clients submit figure grids, finished cells are
-                   persisted to the result store as they complete, and a
-                   restart after any crash resumes from the store with
-                   byte-identical results; SIGTERM drains gracefully
-  submit           client for a running server: submit --figure, stream
-                   per-cell progress, fetch the deterministic results
-                   document into --out; exits 1 when any cell failed or
-                   the server shed the submission (busy/draining)
 
 Options:
   --jobs N         worker threads (default: available parallelism)
@@ -95,27 +84,21 @@ Options:
                    cycles/sec falls more than 25% below its baseline
   --inject SPEC    deterministic fault injection, e.g.
                    'seed=7,panic@1,cache~4x1,watchdog@2,budget@0'
-                   (kinds panic|cache|watchdog|budget|chipcfg|store|
-                   disconnect; @IDX by job index, ~N seed-addressed
-                   one-in-N; xT = first T attempts only)
+                   (kinds panic|cache|watchdog|budget|chipcfg|store;
+                   @IDX by job index, ~N seed-addressed one-in-N;
+                   xT = first T attempts only)
   --store          memoize finished cells in the durable result store; a
                    warm rerun of the same grid does zero simulation work
                    and produces a byte-identical results file
   --store-dir PATH result-store location (default: $DRS_STORE_DIR or
-                   target/drs-store); entries are content-addressed by
-                   job id with a length+checksum footer, written via
-                   tmp+rename, and quarantined (never served) on any
-                   corruption
+                   target/drs-store); implies --store. Entries are
+                   content-addressed by job id with a length+checksum
+                   footer, written via tmp+rename, and quarantined (never
+                   served) on any corruption
   --cache-limit SZ capture-cache size budget with K/M/G suffix (e.g.
                    512M); past it the least-recently-used entries are
                    evicted after each store (the just-written entry is
                    never evicted)
-  --socket PATH    serve/submit: Unix-domain socket path
-                   (default: target/drs-serve.sock)
-  --figure NAME    submit: the figure grid to submit (e.g. fig2)
-  --queue N        serve: admission limit in undispatched cells across
-                   all tickets; submissions past it get a typed 'busy'
-                   response instead of queueing unboundedly (default 4096)
   --list           list modes with their job counts and exit
   -h, --help       show this help
 
@@ -174,16 +157,11 @@ pub struct Cli {
     pub inject: Option<String>,
     /// Memoize finished cells in the durable result store.
     pub store: bool,
-    /// Result-store directory override (`--store-dir`).
+    /// Result-store directory override (`--store-dir`, implies
+    /// [`Cli::store`]).
     pub store_dir: Option<PathBuf>,
     /// Capture-cache size budget in bytes (`--cache-limit`, K/M/G suffix).
     pub cache_limit: Option<u64>,
-    /// Unix-domain socket path for `serve`/`submit`.
-    pub socket: PathBuf,
-    /// Figure to submit (`submit` mode).
-    pub figure: Option<String>,
-    /// Server admission limit in undispatched cells (`serve` mode).
-    pub queue: usize,
     /// List modes instead of running.
     pub list: bool,
     /// Show usage instead of running.
@@ -215,9 +193,6 @@ impl Default for Cli {
             store: false,
             store_dir: None,
             cache_limit: None,
-            socket: PathBuf::from("target/drs-serve.sock"),
-            figure: None,
-            queue: 4096,
             list: false,
             help: false,
         }
@@ -373,20 +348,13 @@ pub fn parse<I: IntoIterator<Item = String>>(args: I) -> Result<Cli, String> {
             }
             "--inject" => cli.inject = Some(value("--inject")?),
             "--store" => cli.store = true,
-            "--store-dir" => cli.store_dir = Some(PathBuf::from(value("--store-dir")?)),
+            "--store-dir" => {
+                cli.store_dir = Some(PathBuf::from(value("--store-dir")?));
+                cli.store = true;
+            }
             "--cache-limit" => {
                 let v = value("--cache-limit")?;
                 cli.cache_limit = Some(parse_size(&v).map_err(|e| format!("--cache-limit: {e}"))?);
-            }
-            "--socket" => cli.socket = PathBuf::from(value("--socket")?),
-            "--figure" => cli.figure = Some(value("--figure")?),
-            "--queue" => {
-                let v = value("--queue")?;
-                cli.queue = v
-                    .parse::<usize>()
-                    .ok()
-                    .filter(|&n| n >= 1)
-                    .ok_or(format!("--queue expects a positive integer, got '{v}'"))?;
             }
             "--list" => cli.list = true,
             "-h" | "--help" => cli.help = true,
@@ -567,45 +535,19 @@ mod tests {
     }
 
     #[test]
-    fn store_and_service_flags_both_syntaxes() {
-        let a = p(&[
-            "fig2",
-            "--store",
-            "--store-dir",
-            "s",
-            "--cache-limit",
-            "512M",
-            "--socket",
-            "x.sock",
-            "--queue",
-            "8",
-        ])
-        .unwrap();
-        let b = p(&[
-            "fig2",
-            "--store",
-            "--store-dir=s",
-            "--cache-limit=512M",
-            "--socket=x.sock",
-            "--queue=8",
-        ])
-        .unwrap();
+    fn store_flags_both_syntaxes() {
+        let a = p(&["fig2", "--store", "--store-dir", "s", "--cache-limit", "512M"]).unwrap();
+        let b = p(&["fig2", "--store", "--store-dir=s", "--cache-limit=512M"]).unwrap();
         assert_eq!(a, b);
         assert!(a.store);
         assert_eq!(a.store_dir, Some(PathBuf::from("s")));
         assert_eq!(a.cache_limit, Some(512 << 20));
-        assert_eq!(a.socket, PathBuf::from("x.sock"));
-        assert_eq!(a.queue, 8);
         let d = p(&[]).unwrap();
         assert!(!d.store);
         assert_eq!(d.store_dir, None);
         assert_eq!(d.cache_limit, None);
-        assert_eq!(d.socket, PathBuf::from("target/drs-serve.sock"));
-        assert_eq!(d.figure, None);
-        assert_eq!(d.queue, 4096);
-        let sub = p(&["submit", "--figure", "fig2"]).unwrap();
-        assert_eq!(sub.mode, "submit");
-        assert_eq!(sub.figure.as_deref(), Some("fig2"));
+        let implied = p(&["fig2", "--store-dir", "s", "--cache-limit", "512M"]).unwrap();
+        assert_eq!(implied, a, "--store-dir implies --store");
     }
 
     #[test]
@@ -650,6 +592,11 @@ mod tests {
             (&["--job-cycles", "x"][..], "positive integer"),
             (&["--inject"][..], "requires a value"),
             (&["fig2", "fig8"][..], "extra argument"),
+            (&["serve"][..], "unknown mode"),
+            (&["submit"][..], "unknown mode"),
+            (&["--socket", "x.sock"][..], "unknown flag"),
+            (&["--figure", "fig2"][..], "unknown flag"),
+            (&["--queue", "8"][..], "unknown flag"),
         ] {
             let err = p(args).unwrap_err();
             assert!(err.contains(needle), "args {args:?}: '{err}' missing '{needle}'");

@@ -19,9 +19,10 @@
 //! corruption evictions but are counted separately.
 
 use crate::job::WorkloadSpec;
+use crate::results::write_atomic;
 use drs_trace::{BounceStreams, TraceIoError};
 use std::fs;
-use std::io::{BufReader, BufWriter, Write};
+use std::io::BufReader;
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::time::SystemTime;
@@ -237,22 +238,8 @@ impl StreamCache {
         streams: &BounceStreams,
     ) -> Result<(), CacheStoreError> {
         let path = self.path_for(spec);
-        let write = || -> std::io::Result<()> {
-            fs::create_dir_all(&self.dir)?;
-            let tmp = path.with_extension(format!("tmp.{}", std::process::id()));
-            let mut w = BufWriter::new(fs::File::create(&tmp)?);
-            // Dropping a BufWriter swallows its final flush error: flush
-            // explicitly so a short write never renames a torn entry into
-            // place.
-            let written = streams.save(&mut w).and_then(|()| w.flush());
-            drop(w);
-            if let Err(e) = written {
-                let _ = fs::remove_file(&tmp);
-                return Err(e);
-            }
-            fs::rename(&tmp, &path)
-        };
-        let result = write().map_err(|source| CacheStoreError { path: path.clone(), source });
+        let result = write_atomic(&path, |w| streams.save(w))
+            .map_err(|source| CacheStoreError { path: path.clone(), source });
         if result.is_ok() {
             self.enforce_limit(&path);
         }
@@ -339,6 +326,26 @@ mod tests {
         let err = cache.store(&spec, &streams).unwrap_err();
         assert!(err.to_string().contains("failed to write cache entry"), "{err}");
         let _ = fs::remove_file(&blocker);
+    }
+
+    #[test]
+    fn failed_rename_is_counted_and_leaves_no_temp_file() {
+        // A directory squats on the entry path: the temp file is written
+        // and flushed, then the rename over the directory fails.
+        let cache = temp_cache();
+        let spec = tiny_spec();
+        fs::create_dir_all(cache.path_for(&spec)).unwrap();
+        let streams = cache.get_or_capture(&spec);
+        assert!(streams.depth() >= 1, "capture still succeeds in memory");
+        assert_eq!(cache.counters().store_failures, 1, "failed rename must be counted");
+        assert!(cache.store(&spec, &streams).is_err());
+        let temps: Vec<_> = fs::read_dir(cache.dir())
+            .unwrap()
+            .filter_map(|e| e.ok()?.file_name().into_string().ok())
+            .filter(|name| name.contains(".tmp."))
+            .collect();
+        assert!(temps.is_empty(), "temp files left behind: {temps:?}");
+        let _ = fs::remove_dir_all(cache.dir());
     }
 
     #[cfg(target_os = "linux")]

@@ -17,10 +17,11 @@
 //! starting over.
 
 use crate::job::{fnv1a64, JobId, SimJob};
-use crate::results::{write_text, CellFailure, ChipSummary};
+use crate::results::{write_atomic, CellFailure, ChipSummary};
 use drs_sim::{ActiveHistogram, JsonBuf, SimStats};
 use drs_telemetry::check::{self, Value};
 use std::collections::BTreeMap;
+use std::io::Write;
 use std::path::{Path, PathBuf};
 
 use crate::SCHEMA_VERSION;
@@ -202,9 +203,10 @@ impl Checkpoint {
     /// Propagates filesystem errors; the pool treats them as non-fatal
     /// (the run continues, only resumability is lost).
     pub fn write_to(&self, path: &Path) -> std::io::Result<()> {
-        let tmp = path.with_extension(format!("tmp.{}", std::process::id()));
-        write_text(&tmp, &self.to_json())?;
-        std::fs::rename(&tmp, path)
+        write_atomic(path, |w| {
+            w.write_all(self.to_json().as_bytes())?;
+            w.write_all(b"\n")
+        })
     }
 
     /// Load the checkpoint at `path` if it exists, parses, and was written
@@ -349,6 +351,7 @@ fn parse_failure(v: &Value) -> Option<CellFailure> {
 mod tests {
     use super::*;
     use crate::job::{Method, Scale, WorkloadSpec};
+    use crate::results::write_text;
     use drs_scene::SceneKind;
 
     fn sample_stats() -> SimStats {

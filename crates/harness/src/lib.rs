@@ -34,12 +34,6 @@
 //!   written atomically; a warm rerun of a completed grid does zero
 //!   simulation work and emits byte-identical results JSON. Corrupt or
 //!   stale entries are quarantined and recomputed, never served.
-//! - **Experiment service** ([`server`]): `experiments serve` exposes
-//!   the pool on a Unix-domain socket with a line-delimited JSON
-//!   protocol — clients submit figure grids, stream per-cell progress,
-//!   and fetch deterministic result documents; admission is bounded,
-//!   scheduling is round-robin across clients, and SIGTERM drains
-//!   gracefully. Crash recovery rides on the result store.
 //! - **Full-chip mode** ([`runner::run_chip_cell`], `drs-chip`): a job
 //!   with [`SimJob::chip`] set runs N per-SM engines against one shared
 //!   L2/MSHR/DRAM memory system instead of a single scaled SMX; the cell
@@ -84,7 +78,6 @@ pub mod job;
 pub mod pool;
 pub mod results;
 pub mod runner;
-pub mod server;
 pub mod store;
 
 pub use cache::{CacheCounters, CacheStoreError, StreamCache};
@@ -99,5 +92,4 @@ pub use results::{write_text, CellFailure, CellResult, ChipSummary, ResultsFile}
 pub use runner::{
     run_cell, run_chip_cell, run_method_with_warps, run_method_with_warps_telemetry, CellConfig,
 };
-pub use server::{Server, ServerControl, ServerOptions};
 pub use store::{ResultStore, StoreCounters, StoreError};

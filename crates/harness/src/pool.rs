@@ -110,7 +110,8 @@ pub struct RunOptions {
     pub checkpoint: Option<CheckpointSpec>,
     /// Durable result store: clean cells are served from disk before any
     /// capture or simulation happens and persisted after they finish.
-    /// Shared (`Arc`) so a server and its pool read one set of counters.
+    /// Shared (`Arc`) so a caller can read the store's counters after the
+    /// run.
     /// Ignored (with a warning) when telemetry is enabled — stored cells
     /// carry counters, not telemetry reports, and must never silently
     /// satisfy an instrumented run.
@@ -208,7 +209,7 @@ thread_local! {
 /// so the hook's "thread panicked" + backtrace spam on stderr would only
 /// duplicate what lands in the failure record. Panics on other threads
 /// (and outside catching regions) keep the normal hook behavior.
-pub(crate) fn catch_quietly<R>(f: impl FnOnce() -> R) -> Result<R, CaughtPanic> {
+fn catch_quietly<R>(f: impl FnOnce() -> R) -> Result<R, CaughtPanic> {
     static HOOK: Once = Once::new();
     HOOK.call_once(|| {
         let prev = std::panic::take_hook();
@@ -498,10 +499,8 @@ pub fn run_jobs(jobs: &[SimJob], opts: &RunOptions) -> RunReport {
     }
 }
 
-/// Run one job to a final [`CellResult`], owning the retry loop. Shared
-/// with the server, which schedules cells individually instead of
-/// through [`run_jobs`].
-pub(crate) fn run_one_job(
+/// Run one job to a final [`CellResult`], owning the retry loop.
+fn run_one_job(
     index: usize,
     job: &SimJob,
     streams: &Arc<drs_trace::BounceStreams>,

@@ -23,7 +23,8 @@ use crate::store::StoreCounters;
 use crate::SCHEMA_VERSION;
 use drs_sim::{GpuConfig, JsonBuf, SimStats, CHIP_TIME_Q};
 use drs_telemetry::{ChipTelemetryReport, TelemetryReport};
-use std::io::Write;
+use std::fs::File;
+use std::io::{BufWriter, Write};
 use std::path::Path;
 
 /// A structured record of why a cell failed — attached to the cell's JSON
@@ -543,14 +544,47 @@ impl ResultsFile {
 ///
 /// Propagates filesystem errors.
 pub fn write_text(path: &Path, text: &str) -> std::io::Result<()> {
-    if let Some(parent) = path.parent() {
-        if !parent.as_os_str().is_empty() {
-            std::fs::create_dir_all(parent)?;
-        }
-    }
-    let mut f = std::fs::File::create(path)?;
+    create_parent(path)?;
+    let mut f = File::create(path)?;
     f.write_all(text.as_bytes())?;
     f.write_all(b"\n")
+}
+
+/// Atomically replace `path` with the bytes `write` streams, creating
+/// parent directories as needed. The bytes go through a `BufWriter` into
+/// a `<path>.tmp.<pid>` sibling, which is flushed and renamed over
+/// `path`; on any failure the temp file is removed and the error
+/// returned, so readers never observe a torn file and a failed write
+/// leaves nothing behind.
+///
+/// # Errors
+///
+/// Propagates filesystem errors and any error `write` returns.
+pub(crate) fn write_atomic(
+    path: &Path,
+    write: impl FnOnce(&mut BufWriter<File>) -> std::io::Result<()>,
+) -> std::io::Result<()> {
+    create_parent(path)?;
+    let tmp = path.with_extension(format!("tmp.{}", std::process::id()));
+    let result = File::create(&tmp).and_then(|f| {
+        let mut w = BufWriter::new(f);
+        // Dropping a BufWriter swallows its final flush error: flush
+        // explicitly so a short write never renames a torn file into place.
+        write(&mut w).and_then(|()| w.flush())?;
+        drop(w);
+        std::fs::rename(&tmp, path)
+    });
+    if result.is_err() {
+        let _ = std::fs::remove_file(&tmp);
+    }
+    result
+}
+
+fn create_parent(path: &Path) -> std::io::Result<()> {
+    match path.parent() {
+        Some(parent) if !parent.as_os_str().is_empty() => std::fs::create_dir_all(parent),
+        _ => Ok(()),
+    }
 }
 
 #[cfg(test)]

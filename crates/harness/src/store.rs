@@ -37,10 +37,12 @@
 
 use crate::checkpoint::CheckpointCell;
 use crate::job::{fnv1a64, JobId};
+use crate::results::write_atomic;
 use crate::SCHEMA_VERSION;
 use drs_sim::JsonBuf;
 use drs_telemetry::check;
 use std::fmt;
+use std::io::Write;
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::time::{Duration, Instant, SystemTime};
@@ -336,7 +338,6 @@ impl ResultStore {
         loop {
             match std::fs::OpenOptions::new().write(true).create_new(true).open(&path) {
                 Ok(mut f) => {
-                    use std::io::Write;
                     let _ = writeln!(f, "{}", std::process::id());
                     return Ok(LockGuard(path));
                 }
@@ -384,10 +385,8 @@ impl ResultStore {
                 .map_err(|e| StoreError::Io { path: self.dir.clone(), source: e })?;
             let _lock = self.acquire_lock(id)?;
             let path = self.entry_path(id);
-            let tmp = path.with_extension(format!("tmp.{}", std::process::id()));
-            std::fs::write(&tmp, Self::encode(id, cell))
-                .map_err(|e| StoreError::Io { path: tmp.clone(), source: e })?;
-            std::fs::rename(&tmp, &path).map_err(|e| StoreError::Io { path, source: e })
+            write_atomic(&path, |w| w.write_all(Self::encode(id, cell).as_bytes()))
+                .map_err(|e| StoreError::Io { path, source: e })
         })();
         match &result {
             Ok(()) => self.writes.fetch_add(1, Ordering::Relaxed),
@@ -502,6 +501,25 @@ mod tests {
         }
         assert!(store.lookup(id).is_none(), "old-schema entries are never served");
         assert_eq!(store.counters().quarantined, 1);
+        let _ = std::fs::remove_dir_all(store.dir());
+    }
+
+    #[test]
+    fn failed_rename_is_counted_and_leaves_no_temp_file() {
+        // A directory squats on the entry path: the temp file is written,
+        // then the rename over the directory fails.
+        let store = ResultStore::new(dir("squatted"));
+        let id = JobId(0xbeef);
+        std::fs::create_dir_all(store.entry_path(id)).unwrap();
+        let err = store.store(id, &cell(17)).unwrap_err();
+        assert!(matches!(err, StoreError::Io { .. }), "got {err}");
+        assert_eq!(store.counters().write_failures, 1);
+        let temps: Vec<_> = std::fs::read_dir(store.dir())
+            .unwrap()
+            .filter_map(|e| e.ok()?.file_name().into_string().ok())
+            .filter(|name| name.contains(".tmp."))
+            .collect();
+        assert!(temps.is_empty(), "temp files left behind: {temps:?}");
         let _ = std::fs::remove_dir_all(store.dir());
     }
 

@@ -9,6 +9,15 @@
 //!    (injected via the `store` fault kind) is detected by the footer
 //!    checksum, moved to `quarantine/`, never served, and the cell is
 //!    re-simulated to an identical result.
+//! 3. **An interrupted grid converges**: a run that finished only a
+//!    prefix of the grid (the surrogate for `kill -9` mid-grid), followed
+//!    by the full grid over the same store, serves exactly the prefix
+//!    from disk and yields a stats document byte-identical to an
+//!    uninterrupted run's.
+//! 4. **Runs racing one store agree**: two concurrent runs, each with its
+//!    own store handle on one directory, produce the same stats document,
+//!    serialized by the store's per-entry lock files, and quarantine
+//!    nothing.
 
 use drs_harness::{
     figures, pool, CaptureMode, FaultPlan, ResultStore, ResultsFile, RunOptions, Scale, StreamCache,
@@ -46,6 +55,13 @@ fn opts(store_dir: &PathBuf, cache_dir: &PathBuf) -> RunOptions {
 fn results_doc(mode: &str, report: pool::RunReport, n_figures: usize) -> String {
     let figures_of = vec![vec![mode.to_string()]; n_figures];
     ResultsFile::from_report(mode, 1, report, figures_of).to_json()
+}
+
+/// The deterministic stats-only document (no wall-clock, worker, cache or
+/// store fields) — what `--stats-dump` writes.
+fn stats_doc(report: pool::RunReport) -> String {
+    let figures_of = vec![vec!["fig2".to_string()]; report.cells.len()];
+    ResultsFile::from_report("fig2", 1, report, figures_of).stats_json()
 }
 
 #[test]
@@ -122,4 +138,62 @@ fn corrupted_entries_are_quarantined_and_recomputed() {
 
     let _ = std::fs::remove_dir_all(&store_dir);
     let _ = std::fs::remove_dir_all(&cache_dir);
+}
+
+#[test]
+fn interrupted_grid_converges_to_the_uninterrupted_document() {
+    let jobs = small_grid();
+    let ref_store = fresh_dir("conv-ref");
+    let ref_cache = fresh_dir("conv-ref-cache");
+    let reference = pool::run_jobs(&jobs, &opts(&ref_store, &ref_cache));
+    assert!(reference.all_clean());
+
+    // The interrupted run finished only a prefix of the grid; everything
+    // it completed is on disk, nothing else is.
+    let store_dir = fresh_dir("conv");
+    let cache_dir = fresh_dir("conv-cache");
+    let prefix = jobs.len() - 1;
+    let partial = pool::run_jobs(&jobs[..prefix], &opts(&store_dir, &cache_dir));
+    assert_eq!(partial.store.writes, prefix as u64);
+
+    // Rerun the full grid over the same store with a fresh handle.
+    let recovered = pool::run_jobs(&jobs, &opts(&store_dir, &cache_dir));
+    assert!(recovered.all_clean());
+    assert_eq!(recovered.store.hits, prefix as u64, "exactly the prefix is served from disk");
+    assert_eq!(recovered.store.misses, (jobs.len() - prefix) as u64);
+    assert_eq!(
+        stats_doc(recovered),
+        stats_doc(reference),
+        "prefix + rerun must converge to the uninterrupted run's bytes"
+    );
+
+    for d in [&ref_store, &ref_cache, &store_dir, &cache_dir] {
+        let _ = std::fs::remove_dir_all(d);
+    }
+}
+
+#[test]
+fn two_runs_racing_one_store_agree_byte_for_byte() {
+    let jobs = small_grid();
+    let store_dir = fresh_dir("race");
+    let start = std::sync::Barrier::new(2);
+    // Each run keeps its own capture cache: only the store is shared.
+    let run = |tag: &str| {
+        let opts = opts(&store_dir, &fresh_dir(tag));
+        start.wait();
+        let report = pool::run_jobs(&jobs, &opts);
+        assert!(report.all_clean());
+        assert_eq!(report.store.quarantined, 0, "a racing writer must never tear an entry");
+        stats_doc(report)
+    };
+    let (doc_a, doc_b) = std::thread::scope(|s| {
+        let a = s.spawn(|| run("race-cache-a"));
+        let b = s.spawn(|| run("race-cache-b"));
+        (a.join().expect("run A panicked"), b.join().expect("run B panicked"))
+    });
+    assert_eq!(doc_a, doc_b, "racing runs must agree on the document bytes");
+
+    for d in [store_dir, fresh_dir("race-cache-a"), fresh_dir("race-cache-b")] {
+        let _ = std::fs::remove_dir_all(d);
+    }
 }
